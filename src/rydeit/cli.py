@@ -9,9 +9,10 @@ All frequencies are in units of the intermediate-state decay rate unless
 (and c6 in MHz um^6) and divided by the base value.  Use one convention
 consistently (plain or 2*pi*) for all inputs; the factors cancel.
 
-Exit codes: 0 success, 2 usage or parameter error, 3 quadrature
-non-convergence (partial output is still written, with a warning column),
-4 unidentifiable fit.
+Exit codes: 0 success, 2 usage or parameter error (including non-finite
+inputs), 3 flagged rows: quadrature non-convergence or an unbracketed peak
+(partial output is still written, with a warning column), 4 unidentifiable
+fit.
 """
 
 import argparse
@@ -118,9 +119,13 @@ def _add_common(parser, need_probe=True):
     o.add_argument("--gamma-mhz", type=float, default=None,
                    help="gamma in MHz; frequency inputs are then read in MHz")
     parser.add_argument("--tol", type=float, default=1e-8,
-                        help="relative quadrature tolerance")
+                        help="relative tolerance of the quadrature routes "
+                             "(nnd.expect, delta_beta_phi_on_resonance); the "
+                             "shift average itself is an exact closed form "
+                             "and ignores it")
     parser.add_argument("--max-panels", type=int, default=10000,
-                        help="adaptive quadrature panel budget")
+                        help="panel budget of the quadrature routes; ignored "
+                             "by the closed-form shift average")
 
 
 def build_parser():

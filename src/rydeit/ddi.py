@@ -1,10 +1,14 @@
 """Mean-field DDI-averaged attenuation and phase shift.
 
-The numerical ground truth: rho31 averaged over the nearest-neighbor shift
-measure by adaptive quadrature.  For attractive interactions (c6 < 0) the
-coupling detuning is shifted by +omega under the integral; repulsive
-interactions are handled by mirroring the detunings and negating the phase,
-which is algebraically identical to integrating with -omega.
+beta_phi_ddi averages rho31 over the nearest-neighbor shift measure exactly,
+with the closed form in backend.avg_susceptibility.  Adaptive quadrature of
+the same average is the independent oracle (backend.available_backends()).
+delta_beta_phi_on_resonance is a quadrature route: it integrates the
+explicit on-resonance kernels with nnd.expect, and the rtol, atol and
+max_panels arguments govern only such routes.  For attractive interactions
+(c6 < 0) the coupling detuning is shifted by +omega under the average;
+repulsive interactions are handled by mirroring the detunings and negating
+the phase, which is algebraically identical to averaging with -omega.
 """
 
 from dataclasses import dataclass
@@ -17,7 +21,8 @@ from .response import beta0_phi0
 
 @dataclass(frozen=True)
 class DdiResponse:
-    """DDI-averaged response with quadrature error estimates."""
+    """DDI-averaged response with error bounds (panels is 0 for the closed
+    form)."""
 
     beta: float
     phi: float
@@ -47,8 +52,10 @@ def beta_phi_ddi(eit: EitParams, ddi: DdiParams, rtol=1e-8, atol=1e-12,
                  max_panels=10000) -> DdiResponse:
     """DDI-averaged attenuation coefficient and phase shift.
 
-    Raises NonConvergenceError carrying the partial DdiResponse when
-    quadrature cannot reach the tolerance.
+    Evaluated in closed form; rtol, atol and max_panels are accepted for
+    compatibility and do not affect the result.  Raises NonConvergenceError
+    carrying the partial DdiResponse if the kernel reports non-convergence,
+    which the closed form never does.
     """
     omega_a = derive_scales(eit, ddi).omega_a
     if ddi.sign > 0:

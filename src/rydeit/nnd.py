@@ -15,6 +15,7 @@ import numpy as np
 
 from . import _gkrule
 from .exceptions import NonConvergenceError
+from .params import require_finite
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,7 @@ class NndMeasure:
     c6_abs: float | None = None
 
     def __post_init__(self):
+        require_finite(self, ("omega_a", "r_a", "c6_abs"))
         if self.omega_a < 0:
             raise ValueError("omega_a must be non-negative")
         if self.r_a is not None and self.c6_abs is not None:

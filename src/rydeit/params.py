@@ -14,6 +14,16 @@ from .exceptions import InsufficientParametersError, ParameterError
 FOUR_PI_THIRD = 4.0 * math.pi / 3.0
 
 
+def require_finite(obj, names):
+    """Raise ParameterError unless each named attribute of obj is finite
+    (None counts as absent).  NaN fails every ordered comparison, so range
+    checks alone let it through."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EitParams:
     """Drive and medium parameters of the ladder EIT system.
@@ -39,6 +49,8 @@ class EitParams:
     gamma2: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, ("omega_c", "alpha", "omega_p_in", "delta_p",
+                              "delta_c", "gamma0", "gamma", "gamma2"))
         if self.gamma <= 0:
             raise ParameterError("gamma must be positive")
         if self.omega_c <= 0:
@@ -82,6 +94,7 @@ class DdiParams:
     c6_sign: int = -1
 
     def __post_init__(self):
+        require_finite(self, ("c6", "n_atom", "epsilon", "combined_strength"))
         physical = self.c6 is not None or self.n_atom is not None or self.epsilon is not None
         if physical and self.combined_strength is not None:
             raise ParameterError(

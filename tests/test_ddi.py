@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rydeit import (ContractViolationError, DdiParams, EitParams,
-                    NonConvergenceError, beta0_phi0, beta_phi_ddi,
-                    delta_beta_phi_on_resonance, derive_scales, rho31,
-                    sample_shift)
+from rydeit import (ContractViolationError, DdiParams, EitParams, backend,
+                    beta0_phi0, beta_phi_ddi, delta_beta_phi_on_resonance,
+                    derive_scales, rho31, sample_shift)
 
 ALPHA = 81.0
 STRENGTH = 0.35
@@ -96,12 +95,17 @@ class TestBetaPhiDdi:
         assert abs(res.beta - mean) < 3 * se
 
     def test_nonconvergence_carries_partial(self):
-        with pytest.raises(NonConvergenceError) as info:
-            beta_phi_ddi(make_eit(), DDI, rtol=1e-15, atol=1e-300,
-                         max_panels=16)
-        partial = info.value.partial
-        assert partial is not None
-        assert partial.beta == pytest.approx(0.752696, rel=1e-2)
+        # the closed form cannot fail to converge; the quadrature oracle
+        # still flags a capped run and keeps its partial value
+        eit = make_eit()
+        args = (eit.delta_p, eit.delta_c, eit.gamma0, eit.omega_c,
+                derive_scales(eit, DDI).omega_a)
+        closed = backend.avg_susceptibility(*args)
+        for oracle in backend.available_backends().values():
+            partial = oracle(*args, 1.0, 1e-15, 1e-300, 16)
+            assert partial[4] <= 16 and not partial[5]
+            assert partial[1] == pytest.approx(closed.im, rel=1e-2)
+            assert partial[0] == pytest.approx(closed.re, rel=1e-2)
 
 
 class TestOnResonance:

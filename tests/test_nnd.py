@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from rydeit import (NndMeasure, NonConvergenceError, expect, omega_of_r,
-                    p_omega, p_omega_tail, p_r, sample_shift, shift_cdf)
+from rydeit import (NndMeasure, NonConvergenceError, ParameterError, expect,
+                    omega_of_r, p_omega, p_omega_tail, p_r, sample_shift,
+                    shift_cdf)
 
 # high-precision direct evaluation of p_omega at omega = omega_a,
 # cross-checked against the Monte-Carlo histogram below
@@ -185,3 +186,9 @@ class TestMeasure:
             NndMeasure(omega_a=1.0, r_a=1.0, c6_abs=2.0)
         with pytest.raises(ValueError):
             NndMeasure(omega_a=-1.0)
+
+    def test_rejects_non_finite(self):
+        for kw in (dict(omega_a=math.nan), dict(omega_a=math.inf),
+                   dict(omega_a=1.0, r_a=math.nan, c6_abs=1.0)):
+            with pytest.raises(ParameterError, match="must be finite"):
+                NndMeasure(**kw)

@@ -51,6 +51,24 @@ class TestValidation:
         with pytest.raises(ParameterError):
             DdiParams(combined_strength=0.35, c6_sign=2)
 
+    @pytest.mark.parametrize("field", ["omega_c", "alpha", "omega_p_in",
+                                       "delta_p", "delta_c", "gamma0",
+                                       "gamma", "gamma2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_eit_field(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            make_eit(**{field: value})
+
+    @pytest.mark.parametrize("fields", [
+        dict(combined_strength=math.inf), dict(combined_strength=math.nan),
+        dict(c6=math.nan, n_atom=0.05, epsilon=1.0),
+        dict(c6=-43.0, n_atom=math.inf, epsilon=1.0),
+        dict(c6=-43.0, n_atom=0.05, epsilon=math.nan),
+    ])
+    def test_rejects_non_finite_ddi_field(self, fields):
+        with pytest.raises(ParameterError, match="must be finite"):
+            DdiParams(**fields)
+
     def test_two_photon_detuning(self):
         p = make_eit(delta_p=-0.7, delta_c=1.0)
         assert p.delta == pytest.approx(0.3)
