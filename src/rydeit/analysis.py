@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .ddi import beta_phi_ddi
-from .exceptions import (NonConvergenceError, ParameterError,
-                         PeakNotBracketedError, UnidentifiableFitError)
+from .ddi import beta_phi_ddi_array
+from .exceptions import (ParameterError, PeakNotBracketedError,
+                         UnidentifiableFitError)
 from .params import DdiParams, EitParams, derive_scales
-from .response import beta0_phi0, beta0_phi0_approx
+from .response import beta0_phi0_approx
 
 PROBE_AXIS = "probe"
 COUPLING_AXIS = "coupling"
@@ -29,22 +29,27 @@ VALIDITY_PHI_CUTOFF = 0.1
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Spectrum over a two-photon-detuning grid."""
+    """Attenuation coefficient and phase over a two-photon-detuning grid."""
 
     axis: str
     grid: np.ndarray
-    transmission: np.ndarray
+    beta: np.ndarray
     phase: np.ndarray
     with_ddi: bool
     eit: EitParams
     ddi: DdiParams | None
     err_beta: np.ndarray
     err_phi: np.ndarray
-    converged: np.ndarray
 
     @property
-    def beta(self):
-        return -np.log(self.transmission)
+    def transmission(self):
+        """exp(-beta); underflows to 0 where beta exceeds about 745."""
+        return np.exp(-self.beta)
+
+    @property
+    def converged(self):
+        """All True: the closed-form shift average always converges."""
+        return np.ones(self.grid.shape, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -92,60 +97,48 @@ class RegimeReport:
     r_b_um: float | None = None
 
 
-def _point_params(eit: EitParams, axis: str, delta: float) -> EitParams:
-    if axis == PROBE_AXIS:
-        return dataclasses.replace(eit, delta_p=-eit.delta_c + delta)
-    if axis == COUPLING_AXIS:
-        return dataclasses.replace(eit, delta_c=-eit.delta_p + delta)
-    raise ValueError(f"unknown sweep axis {axis!r}")
-
-
 def sweep(eit: EitParams, ddi: DdiParams | None, axis: str, grid,
           with_ddi=True, rtol=1e-8, atol=1e-12, max_panels=10000) -> SweepResult:
-    """Transmission and phase spectrum over a two-photon-detuning grid.
-
-    Points where quadrature fails to converge keep their partial value and
-    are flagged in `converged` rather than aborting the sweep.
-    """
+    """Attenuation and phase spectrum over a two-photon-detuning grid, in one
+    beta_phi_ddi_array call.  rtol, atol and max_panels are accepted for
+    compatibility and do not affect the closed-form average."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
+    if not np.all(np.isfinite(grid)):
+        raise ParameterError("grid must be finite")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing")
     if with_ddi and ddi is None:
         raise ValueError("with_ddi=True needs DdiParams")
-
-    n = grid.size
-    beta = np.empty(n)
-    phi = np.empty(n)
-    err_b = np.zeros(n)
-    err_p = np.zeros(n)
-    ok = np.ones(n, dtype=bool)
-    for i, d in enumerate(grid):
-        point = _point_params(eit, axis, d)
-        if with_ddi:
-            try:
-                r = beta_phi_ddi(point, ddi, rtol, atol, max_panels)
-            except NonConvergenceError as exc:
-                r = exc.partial
-                ok[i] = False
-            beta[i], phi[i] = r.beta, r.phi
-            err_b[i], err_p[i] = r.err_beta, r.err_phi
-        else:
-            beta[i], phi[i] = beta0_phi0(point)
+    if axis == PROBE_AXIS:
+        delta_p, delta_c = -eit.delta_c + grid, eit.delta_c
+    elif axis == COUPLING_AXIS:
+        delta_p, delta_c = eit.delta_p, -eit.delta_p + grid
+    else:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    r = beta_phi_ddi_array(eit, ddi if with_ddi else None, delta_p, delta_c)
     return SweepResult(
-        axis=axis, grid=grid, transmission=np.exp(-beta), phase=phi,
-        with_ddi=with_ddi, eit=eit, ddi=ddi, err_beta=err_b, err_phi=err_p,
-        converged=ok)
+        axis=axis, grid=grid, beta=r.beta, phase=r.phi, with_ddi=with_ddi,
+        eit=eit, ddi=ddi, err_beta=r.err_beta, err_phi=r.err_phi)
 
 
 def find_peak(result: SweepResult) -> PeakEstimate:
-    """Transmission-maximising detuning, refined below the grid step by a
-    parabola through the maximum and its neighbors."""
+    """Highest interior local maximum of the transmission, refined below the
+    grid step by a parabola through it and its neighbors.
+
+    A local maximum rises strictly from its left neighbor and does not fall
+    to its right one; edge points never count, so a higher edge does not
+    hide an interior peak.  Raises PeakNotBracketedError when no interior
+    point is a local maximum.
+    """
     t = result.transmission
-    i = int(np.argmax(t))
-    if i == 0 or i == t.size - 1:
-        raise PeakNotBracketedError("peak not bracketed: maximum on grid boundary")
+    inner = t[1:-1]
+    local_max = (inner > t[:-2]) & (inner >= t[2:])
+    if not np.any(local_max):
+        raise PeakNotBracketedError(
+            "peak not bracketed: no interior local maximum")
+    i = 1 + int(np.argmax(np.where(local_max, inner, -np.inf)))
     x0, x1, x2 = result.grid[i - 1: i + 2]
     y0, y1, y2 = t[i - 1: i + 2]
     # vertex of the quadratic through three (possibly non-uniform) points
@@ -184,20 +177,23 @@ def slope_vs_probe_power(eit: EitParams, ddi: DdiParams, powers,
     powers = np.asarray(powers, dtype=float)
     if powers.size < 2:
         raise ParameterError("need at least two probe powers")
-    betas = np.empty(powers.size)
-    phis = np.empty(powers.size)
-    for i, p in enumerate(powers):
-        point = dataclasses.replace(eit, omega_p_in=math.sqrt(p))
-        if use == "quadrature":
-            r = beta_phi_ddi(point, ddi, rtol, atol, max_panels)
-            betas[i], phis[i] = r.beta, r.phi
-        elif use == "analytic":
+    if not np.all(np.isfinite(powers) & (powers >= 0)):
+        raise ParameterError("probe powers must be finite and non-negative")
+    if use == "quadrature":
+        r = beta_phi_ddi_array(eit, ddi, eit.delta_p, eit.delta_c,
+                               np.sqrt(powers))
+        betas, phis = r.beta, r.phi
+    elif use == "analytic":
+        betas = np.empty(powers.size)
+        phis = np.empty(powers.size)
+        for i, p in enumerate(powers):
+            point = dataclasses.replace(eit, omega_p_in=math.sqrt(p))
             b0, p0 = beta0_phi0_approx(point)
             pred = analytic.delta_beta_phi_corrected(point, ddi)
             betas[i] = b0 + pred.delta_beta
             phis[i] = p0 + pred.delta_phi
-        else:
-            raise ValueError(f"unknown source {use!r}")
+    else:
+        raise ValueError(f"unknown source {use!r}")
     return _ols(powers, betas), _ols(powers, phis)
 
 

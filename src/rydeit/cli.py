@@ -10,9 +10,9 @@ All frequencies are in units of the intermediate-state decay rate unless
 consistently (plain or 2*pi*) for all inputs; the factors cancel.
 
 Exit codes: 0 success, 2 usage or parameter error (including non-finite
-inputs), 3 flagged rows: quadrature non-convergence or an unbracketed peak
-(partial output is still written, with a warning column), 4 unidentifiable
-fit.
+inputs), 3 flagged rows or non-convergence of a quadrature route (peak-shift
+still writes its table, with a warning column on the rows whose peak is not
+bracketed), 4 unidentifiable fit.
 """
 
 import argparse
@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from . import analytic, analysis, nnd
-from .ddi import beta_phi_ddi
+from .ddi import beta_phi_ddi_array
 from .exceptions import (NonConvergenceError, ParameterError,
                          PeakNotBracketedError, UnidentifiableFitError)
 from .params import DdiParams, EitParams, derive_scales
@@ -309,68 +309,52 @@ def cmd_spectrum(config: RunConfig):
     start, stop, count = config.grid
     grid = np.linspace(start, stop, count)
     no_ddi = analysis.sweep(eit, None, config.axis, grid, with_ddi=False)
-    with_ddi = analysis.sweep(eit, ddi, config.axis, grid, with_ddi=True,
-                              rtol=config.rtol, max_panels=config.max_panels)
+    with_ddi = analysis.sweep(eit, ddi, config.axis, grid, with_ddi=True)
+    t_no_ddi, t_ddi = no_ddi.transmission, with_ddi.transmission
     columns = ["delta", "transmission_no_ddi", "transmission_ddi",
                "phase_no_ddi", "phase_ddi", "quadrature_error"]
-    all_ok = bool(np.all(with_ddi.converged))
-    if not all_ok:
-        columns.append("warning")
     rows = []
     for i, d in enumerate(grid):
-        row = [float(d), float(no_ddi.transmission[i]),
-               float(with_ddi.transmission[i]), float(no_ddi.phase[i]),
-               float(with_ddi.phase[i]),
-               float(max(with_ddi.err_beta[i], with_ddi.err_phi[i]))]
-        if not all_ok:
-            row.append("" if with_ddi.converged[i] else "nonconvergence")
-        rows.append(row)
+        rows.append([float(d), float(t_no_ddi[i]), float(t_ddi[i]),
+                     float(no_ddi.phase[i]), float(with_ddi.phase[i]),
+                     float(max(with_ddi.err_beta[i], with_ddi.err_phi[i]))])
     table = Table(columns, rows, _params_meta(config, eit, ddi))
     _write_output(_render(table, config), config.output)
     # plot the transmission pair; the phase columns live on a different scale
     plot_table = Table(columns[:3], [r[:3] for r in rows], table.params)
     _maybe_plot(plot_table, config, "probe transmission")
-    return EXIT_OK if all_ok else EXIT_NONCONVERGED
+    return EXIT_OK
 
 
 def cmd_ddi(config: RunConfig):
     eit, ddi = _build_params(config)
     start, stop, count = config.grid
     grid = np.linspace(start, stop, count)
+    if config.x_var == "probe-power":
+        if np.any(grid <= 0):
+            raise ParameterError("probe powers must be positive")
+        quad = beta_phi_ddi_array(eit, ddi, eit.delta_p, eit.delta_c,
+                                  np.sqrt(grid))
+        points = [dataclasses.replace(eit, omega_p_in=math.sqrt(x))
+                  for x in grid]
+    else:
+        quad = beta_phi_ddi_array(eit, ddi, eit.delta - grid, grid)
+        points = [dataclasses.replace(eit, delta_c=float(x),
+                                      delta_p=eit.delta - float(x))
+                  for x in grid]
     rows = []
-    notes = []
-    status = EXIT_OK
-    for x in grid:
-        if config.x_var == "probe-power":
-            if x <= 0:
-                raise ParameterError("probe powers must be positive")
-            point = dataclasses.replace(eit, omega_p_in=math.sqrt(x))
-        else:
-            point = dataclasses.replace(eit, delta_c=float(x),
-                                        delta_p=eit.delta - float(x))
-        note = ""
-        try:
-            quad = beta_phi_ddi(point, ddi, config.rtol,
-                                max_panels=config.max_panels)
-        except NonConvergenceError as exc:
-            quad = exc.partial
-            note = "nonconvergence"
-            status = EXIT_NONCONVERGED
+    for x, db, dp, point in zip(grid.tolist(), quad.delta_beta.tolist(),
+                                quad.delta_phi.tolist(), points):
+        # the closed forms are scalar, so each point keeps its own params
         pred = analytic.delta_beta_phi_corrected(point, ddi)
-        rows.append([float(x), quad.delta_beta, quad.delta_phi,
-                     pred.delta_beta, pred.delta_phi])
-        notes.append(note)
+        rows.append([x, db, dp, pred.delta_beta, pred.delta_phi])
     columns = ["probe_power" if config.x_var == "probe-power" else "delta_c",
                "delta_beta_quad", "delta_phi_quad",
                "delta_beta_analytic", "delta_phi_analytic"]
-    if status != EXIT_OK:
-        columns.append("warning")
-        for row, note in zip(rows, notes):
-            row.append(note)
     table = Table(columns, rows, _params_meta(config, eit, ddi))
     _write_output(_render(table, config), config.output)
     _maybe_plot(table, config, "DDI excess")
-    return status
+    return EXIT_OK
 
 
 def cmd_peak_shift(config: RunConfig):
@@ -390,13 +374,8 @@ def cmd_peak_shift(config: RunConfig):
             point = dataclasses.replace(eit, delta_p=float(x))
             formula = analytic.peak_shift_coupling_sweep(point, ddi)
         note = ""
+        spectrum = analysis.sweep(point, ddi, config.axis, sweep_grid)
         try:
-            spectrum = analysis.sweep(point, ddi, config.axis, sweep_grid,
-                                      with_ddi=True, rtol=config.rtol,
-                                      max_panels=config.max_panels)
-            if not np.all(spectrum.converged):
-                status = EXIT_NONCONVERGED
-                note = "nonconvergence"
             numerical = analysis.find_peak(spectrum).delta
         except PeakNotBracketedError:
             numerical = math.nan

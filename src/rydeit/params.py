@@ -24,6 +24,17 @@ def require_finite(obj, names):
             raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
+def warn_if_strong_probe(omega_p_in, omega_c, gamma, stacklevel=2):
+    """Warn when the probe amplitude leaves the weak-probe limit, i.e. is not
+    below both omega_c and gamma."""
+    if omega_p_in >= omega_c or omega_p_in >= gamma:
+        warnings.warn(
+            "probe is not perturbative (omega_p_in should be below both "
+            "omega_c and gamma); results assume the weak-probe limit",
+            stacklevel=stacklevel + 1,
+        )
+
+
 @dataclass(frozen=True)
 class EitParams:
     """Drive and medium parameters of the ladder EIT system.
@@ -63,12 +74,7 @@ class EitParams:
             raise ParameterError("alpha must be non-negative")
         if self.gamma2 < 0:
             raise ParameterError("gamma2 must be non-negative")
-        if self.omega_p_in >= self.omega_c or self.omega_p_in >= self.gamma:
-            warnings.warn(
-                "probe is not perturbative (omega_p_in should be below both "
-                "omega_c and gamma); results assume the weak-probe limit",
-                stacklevel=2,
-            )
+        warn_if_strong_probe(self.omega_p_in, self.omega_c, self.gamma)
 
     @property
     def delta(self):
@@ -158,6 +164,12 @@ class DerivedScales:
     r_b: float | None = None
 
 
+def shift_scale(strength, omega_p_in, omega_c):
+    """Frequency-shift scale omega_a = strength * rho22^2, with the weak-probe
+    Rydberg population rho22 = (omega_p_in / omega_c)^2.  Broadcasts."""
+    return strength * ((omega_p_in / omega_c) ** 2) ** 2
+
+
 def derive_scales(eit: EitParams, ddi: DdiParams, require_lengths: bool = False) -> DerivedScales:
     """Compute all derived scales.
 
@@ -171,7 +183,7 @@ def derive_scales(eit: EitParams, ddi: DdiParams, require_lengths: bool = False)
     g = eit.gamma
     rho22 = (eit.omega_p_in / eit.omega_c) ** 2
     strength = ddi.strength
-    omega_a = strength * rho22 ** 2
+    omega_a = shift_scale(strength, eit.omega_p_in, eit.omega_c)
     w_c = math.hypot(g, 2.0 * eit.delta_c)
     w_p = math.hypot(g, 2.0 * eit.delta_p)
     eit_linewidth = (

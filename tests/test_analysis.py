@@ -1,11 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import rydeit
 from rydeit import (DdiParams, EitParams, ParameterError,
-                    PeakNotBracketedError, UnidentifiableFitError, find_peak,
-                    fit_epsilon, peak_shift_probe_sweep, regime_report,
+                    PeakNotBracketedError, UnidentifiableFitError, backend,
+                    derive_scales, find_peak, fit_epsilon,
+                    peak_shift_probe_sweep, regime_report,
                     slope_vs_probe_power, sweep)
 from rydeit.analysis import SweepResult
 from rydeit.analytic import unit_power_slopes
@@ -14,6 +17,13 @@ ALPHA = 81.0
 STRENGTH = 0.35
 DDI = DdiParams(combined_strength=STRENGTH)
 C6_EXP = -260.0 / 6.0
+
+# a repulsive point whose probe sweep at delta_c = 1.5 has an interior EIT
+# peak near 0.1599 below a higher transmission at the window's left edge
+EDGE_CASE = dict(alpha=119.39686545030136, omega_c=0.9126374303364523,
+                 omega_p_in=0.27613299879749276, delta_c=1.5,
+                 gamma0=0.02040746432766717)
+EDGE_CASE_DDI = DdiParams(combined_strength=0.8853320519510456, c6_sign=1)
 
 
 def make_eit(**kw):
@@ -24,13 +34,13 @@ def make_eit(**kw):
 
 
 def synthetic_sweep(grid, transmission):
+    # SweepResult stores beta; transmission is derived from it
     grid = np.asarray(grid, float)
-    t = np.asarray(transmission, float)
+    beta = -np.log(np.asarray(transmission, float))
     return SweepResult(
-        axis="probe", grid=grid, transmission=t, phase=np.zeros_like(t),
+        axis="probe", grid=grid, beta=beta, phase=np.zeros_like(beta),
         with_ddi=False, eit=make_eit(), ddi=None,
-        err_beta=np.zeros_like(t), err_phi=np.zeros_like(t),
-        converged=np.ones_like(t, dtype=bool))
+        err_beta=np.zeros_like(beta), err_phi=np.zeros_like(beta))
 
 
 class TestSweep:
@@ -63,6 +73,59 @@ class TestSweep:
         minus = sweep(make_eit(delta_c=-1.0, omega_p_in=0.2), DDI, "probe", grid)
         assert plus.transmission.max() > minus.transmission.max()
 
+    def test_beta_finite_at_large_optical_depth(self):
+        # transmission underflows to 0 here, but beta is stored, not
+        # recovered from it
+        eit = EitParams(omega_c=1.0, alpha=2000.0, omega_p_in=0.1, delta_c=1.0)
+        ddi = DdiParams(combined_strength=0.5)
+        grid = np.linspace(-3.0, 3.0, 7)
+        res = sweep(eit, ddi, "probe", grid)
+        assert np.all(np.isfinite(res.beta))
+        assert res.beta.max() > 745.0 and res.transmission.min() == 0.0
+        omega_a = derive_scales(eit, ddi).omega_a
+        for d, beta in zip(grid, res.beta):
+            avg = backend.avg_susceptibility(-eit.delta_c + d, eit.delta_c,
+                                             0.0, 1.0, omega_a)
+            assert beta == pytest.approx(2000.0 * avg.im, rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_grid_rejected(self, bad):
+        for with_ddi in (True, False):
+            with pytest.raises(ParameterError):
+                sweep(make_eit(), DDI, "probe", [0.0, bad], with_ddi=with_ddi)
+
+    def test_no_per_point_parameter_rebuild(self, monkeypatch):
+        # a 401-point sweep builds no EitParams and derives the scales and
+        # the no-DDI response at most once, not once per point
+        counts = {"EitParams": 0}
+        post_init = EitParams.__post_init__
+
+        def counting_post_init(self):
+            counts["EitParams"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(EitParams, "__post_init__", counting_post_init)
+        for name in ("derive_scales", "beta0_phi0"):
+            original = getattr(rydeit, name)
+            counts[name] = 0
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("rydeit")
+                        and getattr(module, name, None) is original):
+                    monkeypatch.setattr(module, name, counting)
+        eit = EitParams(omega_c=1.0, alpha=ALPHA, omega_p_in=0.2, delta_c=1.0)
+        counts["EitParams"] = 0
+        for axis in ("probe", "coupling"):
+            for ddi in (DDI, DdiParams(combined_strength=STRENGTH, c6_sign=1)):
+                sweep(eit, ddi, axis, np.linspace(-0.5, 0.5, 401))
+        assert counts["EitParams"] == 0
+        assert counts["derive_scales"] <= 1
+        assert counts["beta0_phi0"] <= 1
+
     def test_coupling_axis_convention(self):
         # coupling sweep holds delta_p and rides delta_c = -delta_p + delta;
         # without the interaction the peak is at two-photon resonance, with
@@ -93,6 +156,40 @@ class TestFindPeak:
         grid = np.linspace(0.0, 1.0, 11)
         with pytest.raises(PeakNotBracketedError):
             find_peak(synthetic_sweep(grid, np.exp(grid)))
+
+    def test_higher_edge_does_not_hide_interior_peak(self):
+        def spectrum(x):
+            return 0.5 * np.exp(-((x - 0.3) / 0.1) ** 2) + np.exp(-x - 1.0)
+
+        grid = np.linspace(-1.0, 1.0, 201)
+        t = spectrum(grid)
+        assert np.argmax(t) == 0
+        est = find_peak(synthetic_sweep(grid, t))
+        fine = np.linspace(0.25, 0.35, 100001)
+        assert est.delta == pytest.approx(fine[np.argmax(spectrum(fine))],
+                                          abs=1e-4)
+
+    def test_highest_of_several_interior_peaks(self):
+        grid = np.linspace(-1.0, 1.0, 201)
+        t = (0.4 * np.exp(-((grid + 0.5) / 0.1) ** 2)
+             + 0.6 * np.exp(-((grid - 0.4) / 0.1) ** 2) + 0.1 * grid + 0.5)
+        assert find_peak(synthetic_sweep(grid, t)).delta == pytest.approx(
+            0.4, abs=0.02)
+
+    def test_flat_spectrum_not_bracketed(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(PeakNotBracketedError):
+            find_peak(synthetic_sweep(grid, np.full(grid.size, 0.5)))
+
+    def test_interior_peak_below_edge_found(self):
+        # regression: the global argmax sat on the left edge, so this row
+        # was reported as "peak not bracketed"
+        eit = EitParams(**EDGE_CASE)
+        res = sweep(eit, EDGE_CASE_DDI, "probe", np.linspace(-0.6, 0.6, 401))
+        est = find_peak(res)
+        assert est.delta == pytest.approx(0.1599, abs=5e-4)
+        i = int(np.argmin(np.abs(res.grid - est.delta)))
+        assert res.transmission[0] > res.transmission[i]
 
     def test_no_ddi_peak_at_resonance(self):
         # the lineshape is not symmetric about the maximum at finite
@@ -139,6 +236,12 @@ class TestSlopes:
         fb, _ = slope_vs_probe_power(eit, DDI, [0.0025, 0.01, 0.04],
                                      use="quadrature")
         assert fb.intercept == pytest.approx(1.944, rel=0.03)
+
+    @pytest.mark.parametrize("use", ["quadrature", "analytic"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.01])
+    def test_bad_power_rejected(self, use, bad):
+        with pytest.raises(ParameterError):
+            slope_vs_probe_power(make_eit(), DDI, [0.01, bad], use=use)
 
     def test_needs_two_distinct_powers(self):
         with pytest.raises(ParameterError):

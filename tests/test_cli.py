@@ -165,6 +165,26 @@ class TestPeakShift:
             assert r[1] == pytest.approx(r[2], rel=0.1)
 
 
+    def test_interior_peak_below_higher_edge(self, tmp_path):
+        # regression: the delta_c = 1.5 row was flagged "peak not
+        # bracketed" although its spectrum has an interior peak near 0.1599
+        # (the shift formula gives 0.112); the window edge is just higher
+        out = tmp_path / "peak.csv"
+        rc = main(["peak-shift", "--alpha=119.39686545030136",
+                   "--omega-c=0.9126374303364523",
+                   "--omega-p-in=0.27613299879749276",
+                   "--delta-c=-0.05247849668819393",
+                   "--gamma0=0.02040746432766717",
+                   "--strength=0.8853320519510456", "--positive-c6",
+                   "--axis=probe", "--no-timestamp", "--output", str(out)])
+        assert rc == 0
+        header, rows = read_csv(out)
+        assert header == ["delta_c", "shift_formula", "shift_numerical"]
+        by_dc = {r[0]: r for r in rows}
+        assert by_dc[1.5][1] == pytest.approx(0.112, abs=1e-3)
+        assert by_dc[1.5][2] == pytest.approx(0.1599, abs=5e-4)
+
+
 class TestFit:
     def make_slope_table(self, path, epsilon=0.43):
         from rydeit import EitParams

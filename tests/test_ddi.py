@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rydeit import (ContractViolationError, DdiParams, EitParams, backend,
-                    beta0_phi0, beta_phi_ddi, delta_beta_phi_on_resonance,
-                    derive_scales, rho31, sample_shift)
+from rydeit import (ContractViolationError, DdiParams, EitParams,
+                    ParameterError, backend, beta0_phi0, beta_phi_ddi,
+                    delta_beta_phi_on_resonance, derive_scales, rho31,
+                    sample_shift)
+from rydeit.ddi import beta_phi_ddi_array
 
 ALPHA = 81.0
 STRENGTH = 0.35
@@ -106,6 +108,62 @@ class TestBetaPhiDdi:
             assert partial[4] <= 16 and not partial[5]
             assert partial[1] == pytest.approx(closed.im, rel=1e-2)
             assert partial[0] == pytest.approx(closed.re, rel=1e-2)
+
+
+class TestBetaPhiDdiArray:
+    FIELDS = ("beta", "phi", "delta_beta", "delta_phi", "err_beta", "err_phi")
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_matches_scalar_pointwise(self, sign):
+        ddi = DdiParams(combined_strength=STRENGTH, c6_sign=sign)
+        eit = make_eit(gamma0=0.01)
+        rng = np.random.default_rng(5)
+        dp = rng.uniform(-2, 2, 6)
+        dc = rng.uniform(-2, 2, 6)
+        wp = rng.uniform(0.05, 0.3, 6)
+        res = beta_phi_ddi_array(eit, ddi, dp, dc, wp)
+        for i in range(dp.size):
+            point = make_eit(gamma0=0.01, delta_p=float(dp[i]),
+                             delta_c=float(dc[i]), omega_p_in=float(wp[i]))
+            one = beta_phi_ddi(point, ddi)
+            for f in self.FIELDS:
+                assert getattr(res, f)[i] == getattr(one, f)
+
+    def test_broadcast_shape(self):
+        dp = np.linspace(-1, 1, 4)[:, None]
+        wp = np.array([0.1, 0.2, 0.3])
+        res = beta_phi_ddi_array(make_eit(), DDI, dp, 0.5, wp)
+        for f in self.FIELDS:
+            assert getattr(res, f).shape == (4, 3)
+
+    def test_no_interaction(self):
+        eit = make_eit(gamma0=0.012, delta_c=0.4)
+        dp = np.array([-0.3, 0.0, 0.2])
+        res = beta_phi_ddi_array(eit, None, dp, eit.delta_c)
+        for i, d in enumerate(dp):
+            b0, p0 = beta0_phi0(make_eit(gamma0=0.012, delta_c=0.4,
+                                         delta_p=float(d)))
+            assert res.beta[i] == pytest.approx(b0, rel=1e-14)
+            assert res.phi[i] == pytest.approx(p0, rel=1e-14)
+        assert not np.any(res.delta_beta) and not np.any(res.err_phi)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        eit = make_eit()
+        with pytest.raises(ParameterError):
+            beta_phi_ddi_array(eit, DDI, [0.0, bad], 0.0)
+        with pytest.raises(ParameterError):
+            beta_phi_ddi_array(eit, DDI, 0.0, [bad, 0.0])
+        with pytest.raises(ParameterError):
+            beta_phi_ddi_array(eit, DDI, 0.0, 0.0, [0.1, bad])
+
+    def test_negative_probe_rejected(self):
+        with pytest.raises(ParameterError):
+            beta_phi_ddi_array(make_eit(), DDI, 0.0, 0.0, [0.1, -0.1])
+
+    def test_strong_probe_warns(self):
+        with pytest.warns(UserWarning, match="perturbative"):
+            beta_phi_ddi_array(make_eit(), DDI, 0.0, 0.0, [0.1, 1.5])
 
 
 class TestOnResonance:
